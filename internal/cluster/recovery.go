@@ -281,6 +281,15 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 	}
 	var recovering []episode
 	var recoveryTimes []float64
+	// Per-attempt scratch, reused across iterations: the stepping set,
+	// its step durations, the crashed and straggling workers, the
+	// workers left after a straggler drop and the trailing-median sort
+	// buffer.
+	var (
+		stepping, crashed, stragglers, survivors []int
+		durs                                     []float64
+		medianBuf                                = make([]float64, 0, rc.MedianWindow)
+	)
 
 	// Strictly-positive step durations, downtimes and backoffs guarantee
 	// progress; the budget is a defensive backstop, generous enough for
@@ -355,7 +364,7 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 		}
 
 		// Phase 2: the stepping set — alive workers not resyncing.
-		var stepping []int
+		stepping = stepping[:0]
 		for w, ws := range states {
 			if !ws.dead && !ws.resync {
 				stepping = append(stepping, w)
@@ -372,9 +381,9 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 
 		// Phase 3: draw this attempt's fates (hang stretches the step,
 		// crash aborts it, degrade escalates the series from next step).
-		durs := make([]float64, len(stepping))
-		var crashed []int
-		for k, w := range stepping {
+		durs = durs[:0]
+		crashed = crashed[:0]
+		for _, w := range stepping {
 			ws := states[w]
 			d := ws.stepDur()
 			if inj.Hang(w, d) {
@@ -391,7 +400,7 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 					emit(events.WorkerDegrade, map[string]any{"worker": w})
 				}
 			}
-			durs[k] = d
+			durs = append(durs, d)
 		}
 		barrier := 0.0
 		for _, d := range durs {
@@ -431,9 +440,9 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 		// Phase 5: barrier timeout and the straggler policy.
 		var thresh float64
 		if len(history) >= rc.MedianWindow {
-			thresh = rc.StragglerFactor * metrics.TrailingMedian(history, rc.MedianWindow)
+			thresh = rc.StragglerFactor * metrics.TrailingMedian(history, rc.MedianWindow, medianBuf)
 		}
-		var stragglers []int
+		stragglers = stragglers[:0]
 		if thresh > 0 {
 			for k, w := range stepping {
 				if durs[k] > thresh {
@@ -487,24 +496,25 @@ func replay(cfg SeriesConfig, sims []*workerSim) (*FaultReport, error) {
 		}
 		participants := stepping
 		if action == "drop" {
-			participants = participants[:0:0]
-			dropped := make(map[int]bool, len(stragglers))
 			for _, w := range stragglers {
-				dropped[w] = true
 				states[w].resync = true
 				rep.WastedSteps++
 				rep.StragglerDrops++
 			}
+			// The stepping set held no resyncing worker, so the ones
+			// resyncing now are exactly the dropped stragglers.
+			survivors = survivors[:0]
 			barrier = 0
 			for k, w := range stepping {
-				if dropped[w] {
+				if states[w].resync {
 					continue
 				}
-				participants = append(participants, w)
+				survivors = append(survivors, w)
 				if durs[k] > barrier {
 					barrier = durs[k]
 				}
 			}
+			participants = survivors
 		}
 
 		// Phase 6: commit the global step.

@@ -323,6 +323,62 @@ func TestAllDeadJobContributesZero(t *testing.T) {
 	}
 }
 
+// At 100,000 machines placement must stay deterministic: two builds of one
+// config place identically and compose identical results.
+func TestBuildDeterministic100k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100k-machine fleet; skipped under -short")
+	}
+	for _, p := range Policies() {
+		cfg := DefaultConfig()
+		cfg.Machines = 100000
+		cfg.BatchTasks = cfg.Machines * 3 / 10
+		cfg.Policy = p
+		var fleets [2]*Fleet
+		var results [2]*Result
+		for k := range fleets {
+			f, err := Build(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", p, err)
+			}
+			if err := f.Simulate(synthMeasure, 0); err != nil {
+				t.Fatal(err)
+			}
+			res, err := f.Tick()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleets[k], results[k] = f, res
+		}
+		if !reflect.DeepEqual(fleets[0].Machines(), fleets[1].Machines()) {
+			t.Errorf("%s: same seed placed 100k machines differently", p)
+		}
+		if !reflect.DeepEqual(results[0], results[1]) {
+			t.Errorf("%s: same seed composed differently:\n%+v\n%+v", p, results[0], results[1])
+		}
+	}
+}
+
+// BenchmarkFleetBuild times placement alone: drawing 20,000 machines and
+// placing the study's jobs and batch backlog (0.3 tasks per machine), per
+// policy.
+func BenchmarkFleetBuild(b *testing.B) {
+	for _, p := range Policies() {
+		b.Run(string(p), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Machines = 20000
+			cfg.BatchTasks = cfg.Machines * 3 / 10
+			cfg.Policy = p
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFleetTick pins the fleet composition hot path: per-job
 // lock-step composition plus fault replay over canned measurements
 // (simulation cost is excluded — that is the node model's benchmark).

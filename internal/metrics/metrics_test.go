@@ -137,6 +137,23 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+func TestTrailingMedian(t *testing.T) {
+	xs := []float64{1, 2, 9, 7, 8}
+	if got := TrailingMedian(xs, 3, nil); got != 8 {
+		t.Errorf("TrailingMedian(window 3) = %v, want 8", got)
+	}
+	if got := TrailingMedian(xs, 0, nil); got != 7 {
+		t.Errorf("TrailingMedian(window 0) = %v, want 7", got)
+	}
+	if xs[2] != 9 || xs[3] != 7 {
+		t.Error("TrailingMedian mutated its input")
+	}
+	buf := make([]float64, 0, 3)
+	if n := testing.AllocsPerRun(100, func() { TrailingMedian(xs, 3, buf) }); n != 0 {
+		t.Errorf("TrailingMedian with a large enough buffer allocated %v times", n)
+	}
+}
+
 func TestMeterRate(t *testing.T) {
 	var m Meter
 	m.Add(1.0, 10)

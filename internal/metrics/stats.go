@@ -69,10 +69,12 @@ func Median(xs []float64) float64 { return Percentile(xs, 50) }
 // of xs when it is shorter, or when window <= 0). The cluster runtime's
 // barrier timeout derives its straggler threshold from this: a trailing
 // window tracks drift in the service's own step time, so the threshold
-// adapts instead of being an absolute constant.
-func TrailingMedian(xs []float64, window int) float64 {
+// adapts instead of being an absolute constant. The window is sorted in
+// buf, which is reused when its capacity suffices (nil allocates), so a
+// caller evaluating the median every step can keep one buffer.
+func TrailingMedian(xs []float64, window int, buf []float64) float64 {
 	if window > 0 && len(xs) > window {
 		xs = xs[len(xs)-window:]
 	}
-	return Median(xs)
+	return percentileInPlace(append(buf[:0], xs...), 50)
 }

@@ -42,11 +42,13 @@ RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
 # Hot-path microbenchmarks: the allocation-free simulation step, the
-# zero-cost disabled instrumentation path, the fleet composition tick
-# (placement + per-job cluster replay over pre-measured shapes), and the
-# session server's advance round trip and middleware tax.
+# zero-cost disabled instrumentation path, fleet placement at 20k machines
+# (BenchmarkFleetBuild, per policy), the fleet composition tick (per-job
+# cluster fault replay over pre-measured shapes; placement runs outside
+# its timer), and the session server's advance round trip and middleware
+# tax.
 MICRO_PKGS="./internal/memsys ./internal/node ./internal/sim ./internal/events ./internal/fleet ./internal/httpd"
-MICRO_BENCH='BenchmarkResolve|BenchmarkNodeStep|BenchmarkEngineTick|BenchmarkEmit|BenchmarkFleetTick|BenchmarkSessionAdvance|BenchmarkMiddlewareOverhead'
+MICRO_BENCH='BenchmarkResolve|BenchmarkNodeStep|BenchmarkEngineTick|BenchmarkEmit|BenchmarkFleetBuild|BenchmarkFleetTick|BenchmarkSessionAdvance|BenchmarkMiddlewareOverhead'
 
 case "$MODE" in
 quick)

@@ -5,11 +5,11 @@
 # Guarded: BenchmarkResolveSteady (the memory-system fixed point) and
 # BenchmarkEngineTick (simulation dispatch) — the two numbers every
 # experiment cell multiplies by millions of ticks — plus BenchmarkFleetTick
-# (fleet placement + goodput composition, the O(machines) outer loop of the
-# fleet study), plus the session server's BenchmarkSessionAdvance and
-# BenchmarkMiddlewareOverhead (the kelpd request hot path). The fresh
-# measurement is
-# the minimum of -count runs; the gate is cmd/benchguard, which needs no
+# (the fleet study's goodput composition: per-job cluster fault replay over
+# pre-measured shapes; placement is built outside its timer), plus the
+# session server's BenchmarkSessionAdvance and BenchmarkMiddlewareOverhead
+# (the kelpd request hot path). The fresh measurement is the minimum of
+# -count runs; the gate is cmd/benchguard, which needs no
 # installs. benchstat, when already on PATH, additionally prints its
 # statistical comparison (report only — the gate stays deterministic).
 #
