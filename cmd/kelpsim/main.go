@@ -154,8 +154,13 @@ func main() {
 		fmt.Printf("ML 95%%-ile latency (vs standalone): %.3f\n", r.MLTailNorm)
 	}
 	fmt.Printf("CPU throughput (units/s): %.1f\n", r.CPUUnits)
-	for name, tp := range r.Raw.PerTask {
-		fmt.Printf("  %-16s %.1f\n", name, tp)
+	names := make([]string, 0, len(r.Raw.PerTask))
+	for name := range r.Raw.PerTask {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Printf("  %-16s %.1f\n", name, r.Raw.PerTask[name])
 	}
 	if rt := r.Raw.Applied.Runtime; rt != nil {
 		fmt.Printf("kelp runtime: lowCores=%d prefetchers=%d backfill=%d decisions=%d\n",

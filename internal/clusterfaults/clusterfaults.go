@@ -16,7 +16,7 @@
 // loses fewer steps of work per failure — exactly the fleet-goodput
 // argument for isolation.
 //
-// All randomness comes from private xorshift64* generators seeded from
+// All randomness comes from sim.Stream generators seeded from
 // Spec.Seed — no math/rand global state, no wall clock — with one
 // independent stream per (fault class, worker) pair, so identical
 // (seed, spec, worker count) triples replay identical fault sequences
@@ -28,8 +28,8 @@ package clusterfaults
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
+
+	"kelp/internal/sim"
 )
 
 // Spec configures the injector. Crash, Hang and Degrade are rates per
@@ -76,30 +76,34 @@ func (s Spec) Enabled() bool {
 	return s.Crash > 0 || s.Hang > 0 || s.Degrade > 0
 }
 
+// fields binds the spec's float keys to s, in rendering order.
+func (s *Spec) fields() []sim.SpecField {
+	return []sim.SpecField{
+		{Key: "crash", Val: &s.Crash}, {Key: "downtime", Val: &s.Downtime},
+		{Key: "restartfail", Val: &s.RestartFail}, {Key: "hang", Val: &s.Hang},
+		{Key: "hangdur", Val: &s.HangDur}, {Key: "degrade", Val: &s.Degrade},
+	}
+}
+
 // Validate reports whether rates are non-negative and finite, RestartFail
-// is a probability, and the durations are sane.
+// is a probability, and the durations are sane. With several bad fields,
+// the first in key order is reported.
 func (s Spec) Validate() error {
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{
-		{"crash", s.Crash}, {"hang", s.Hang}, {"degrade", s.Degrade},
-	} {
-		if math.IsNaN(r.v) || math.IsInf(r.v, 0) || r.v < 0 {
-			return fmt.Errorf("clusterfaults: %s = %v, want a finite rate >= 0 per second", r.name, r.v)
-		}
-	}
-	if math.IsNaN(s.RestartFail) || s.RestartFail < 0 || s.RestartFail > 1 {
-		return fmt.Errorf("clusterfaults: restartfail = %v, want a probability in [0, 1]", s.RestartFail)
-	}
-	for _, d := range []struct {
-		name string
-		v    float64
-	}{
-		{"downtime", s.Downtime}, {"hangdur", s.HangDur},
-	} {
-		if math.IsNaN(d.v) || math.IsInf(d.v, 0) || d.v < 0 {
-			return fmt.Errorf("clusterfaults: %s = %v, want a finite duration >= 0 (or 0 for the default)", d.name, d.v)
+	for _, f := range s.fields() {
+		v := *f.Val
+		switch f.Key {
+		case "restartfail":
+			if math.IsNaN(v) || v < 0 || v > 1 {
+				return fmt.Errorf("clusterfaults: restartfail = %v, want a probability in [0, 1]", v)
+			}
+		case "downtime", "hangdur":
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				return fmt.Errorf("clusterfaults: %s = %v, want a finite duration >= 0 (or 0 for the default)", f.Key, v)
+			}
+		default:
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				return fmt.Errorf("clusterfaults: %s = %v, want a finite rate >= 0 per second", f.Key, v)
+			}
 		}
 	}
 	return nil
@@ -108,25 +112,7 @@ func (s Spec) Validate() error {
 // String renders the spec in ParseSpec's key=value format, omitting zero
 // fields, with keys in a fixed order.
 func (s Spec) String() string {
-	var parts []string
-	add := func(k string, v float64) {
-		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%v", k, v))
-		}
-	}
-	if s.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", s.Seed))
-	}
-	add("crash", s.Crash)
-	add("downtime", s.Downtime)
-	add("restartfail", s.RestartFail)
-	add("hang", s.Hang)
-	add("hangdur", s.HangDur)
-	add("degrade", s.Degrade)
-	if len(parts) == 0 {
-		return "off"
-	}
-	return strings.Join(parts, ",")
+	return sim.FormatSpec(s.Seed, s.fields())
 }
 
 // ParseSpec parses the -cfaults flag format: a comma-separated list of
@@ -135,93 +121,10 @@ func (s Spec) String() string {
 // empty string (and "off") yields the disabled zero Spec.
 func ParseSpec(str string) (Spec, error) {
 	var s Spec
-	str = strings.TrimSpace(str)
-	if str == "" || str == "off" {
-		return s, nil
-	}
-	for _, kv := range strings.Split(str, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return Spec{}, fmt.Errorf("clusterfaults: %q is not key=value", kv)
-		}
-		k = strings.ToLower(strings.TrimSpace(k))
-		v = strings.TrimSpace(v)
-		if k == "seed" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return Spec{}, fmt.Errorf("clusterfaults: seed: %w", err)
-			}
-			s.Seed = n
-			continue
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return Spec{}, fmt.Errorf("clusterfaults: %s: %w", k, err)
-		}
-		switch k {
-		case "crash":
-			s.Crash = f
-		case "downtime":
-			s.Downtime = f
-		case "restartfail":
-			s.RestartFail = f
-		case "hang":
-			s.Hang = f
-		case "hangdur":
-			s.HangDur = f
-		case "degrade":
-			s.Degrade = f
-		default:
-			return Spec{}, fmt.Errorf("clusterfaults: unknown key %q", k)
-		}
+	if err := sim.ParseSpec("clusterfaults", str, &s.Seed, s.fields()); err != nil {
+		return Spec{}, err
 	}
 	return s, s.Validate()
-}
-
-// xorshift is an xorshift64* generator — small, fast, and private to the
-// injector so fault draws never perturb (or are perturbed by) the
-// simulation's own RNG streams. Same construction as internal/faults.
-type xorshift struct{ state uint64 }
-
-// splitmix64 expands a seed into a well-mixed nonzero state.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// newStream derives an independent generator from the root seed, a stable
-// class name and a worker index, so enabling one fault class never shifts
-// another's draw sequence, and worker i's fate never depends on how many
-// draws worker j consumed.
-func newStream(seed uint64, name string, worker int) *xorshift {
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	h ^= uint64(worker) + 0x9E37
-	h *= 1099511628211
-	s := splitmix64(seed ^ h)
-	if s == 0 {
-		s = 0x2545F4914F6CDD1D
-	}
-	return &xorshift{state: s}
-}
-
-func (x *xorshift) next() uint64 {
-	s := x.state
-	s ^= s >> 12
-	s ^= s << 25
-	s ^= s >> 27
-	x.state = s
-	return s * 0x2545F4914F6CDD1D
-}
-
-// float64 draws a uniform value in [0, 1).
-func (x *xorshift) float64() float64 {
-	return float64(x.next()>>11) / (1 << 53)
 }
 
 // Injector draws the fate of one cluster run's workers. Construct with
@@ -229,12 +132,9 @@ func (x *xorshift) float64() float64 {
 // An Injector belongs to a single cluster replay and is consulted only
 // from its single-threaded composition loop, so it needs no locking.
 type Injector struct {
-	spec    Spec
-	crash   []*xorshift
-	hang    []*xorshift
-	degrade []*xorshift
-	restart []*xorshift
-	counts  map[string]uint64
+	spec Spec
+	// Per-worker streams, one per fault class.
+	crash, hang, degrade, restart []sim.Stream
 }
 
 // NewInjector builds an injector for a validated spec and a fixed worker
@@ -254,12 +154,12 @@ func NewInjector(s Spec, workers int) (*Injector, error) {
 	if s.HangDur == 0 {
 		s.HangDur = DefaultHangDur
 	}
-	inj := &Injector{spec: s, counts: make(map[string]uint64)}
+	inj := &Injector{spec: s}
 	for w := 0; w < workers; w++ {
-		inj.crash = append(inj.crash, newStream(s.Seed, "crash", w))
-		inj.hang = append(inj.hang, newStream(s.Seed, "hang", w))
-		inj.degrade = append(inj.degrade, newStream(s.Seed, "degrade", w))
-		inj.restart = append(inj.restart, newStream(s.Seed, "restart", w))
+		inj.crash = append(inj.crash, sim.NewWorkerStream(s.Seed, "crash", w))
+		inj.hang = append(inj.hang, sim.NewWorkerStream(s.Seed, "hang", w))
+		inj.degrade = append(inj.degrade, sim.NewWorkerStream(s.Seed, "degrade", w))
+		inj.restart = append(inj.restart, sim.NewWorkerStream(s.Seed, "restart", w))
 	}
 	return inj, nil
 }
@@ -285,9 +185,9 @@ func (i *Injector) Spec() Spec {
 // the given per-second rate fired over an exposure of dur seconds. The
 // draw is consumed even at rate 0 so per-stream sequences stay aligned
 // across specs that differ only in rates.
-func rateHit(x *xorshift, rate, dur float64) bool {
+func rateHit(x *sim.Stream, rate, dur float64) bool {
 	p := -math.Expm1(-rate * dur) // 1 - exp(-rate*dur), accurate near 0
-	return x.float64() < p
+	return x.Float64() < p
 }
 
 // Crash reports whether worker w's node is lost during a step of the
@@ -296,11 +196,7 @@ func (i *Injector) Crash(w int, dur float64) bool {
 	if i == nil {
 		return false
 	}
-	if !rateHit(i.crash[w], i.spec.Crash, dur) {
-		return false
-	}
-	i.counts["crash"]++
-	return true
+	return rateHit(&i.crash[w], i.spec.Crash, dur)
 }
 
 // Hang reports whether worker w stalls at the barrier during a step of
@@ -309,11 +205,7 @@ func (i *Injector) Hang(w int, dur float64) bool {
 	if i == nil {
 		return false
 	}
-	if !rateHit(i.hang[w], i.spec.Hang, dur) {
-		return false
-	}
-	i.counts["hang"]++
-	return true
+	return rateHit(&i.hang[w], i.spec.Hang, dur)
 }
 
 // Degrade reports whether worker w's aggressor escalates during a step of
@@ -323,11 +215,7 @@ func (i *Injector) Degrade(w int, dur float64) bool {
 	if i == nil {
 		return false
 	}
-	if !rateHit(i.degrade[w], i.spec.Degrade, dur) {
-		return false
-	}
-	i.counts["degrade"]++
-	return true
+	return rateHit(&i.degrade[w], i.spec.Degrade, dur)
 }
 
 // RestartFails reports whether worker w's next restart attempt fails.
@@ -335,34 +223,5 @@ func (i *Injector) RestartFails(w int) bool {
 	if i == nil {
 		return false
 	}
-	if i.restart[w].float64() >= i.spec.RestartFail {
-		return false
-	}
-	i.counts["restart.fail"]++
-	return true
-}
-
-// Counts returns how many faults of each class were injected so far, as a
-// class → count map with stable keys (crash, hang, degrade, restart.fail).
-func (i *Injector) Counts() map[string]uint64 {
-	if i == nil {
-		return nil
-	}
-	out := make(map[string]uint64, len(i.counts))
-	for k, v := range i.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// Total returns the total number of injected faults across all classes.
-func (i *Injector) Total() uint64 {
-	if i == nil {
-		return 0
-	}
-	var t uint64
-	for _, v := range i.counts {
-		t += v
-	}
-	return t
+	return i.restart[w].Float64() < i.spec.RestartFail
 }

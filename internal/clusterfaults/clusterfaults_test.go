@@ -34,19 +34,22 @@ func TestSpecStringParseRoundTrip(t *testing.T) {
 }
 
 func TestParseSpecRejectsGarbage(t *testing.T) {
-	for _, in := range []string{
-		"crash",              // not key=value
-		"bogus=1",            // unknown key
-		"crash=x",            // not a number
-		"seed=-1",            // seed must be uint
-		"crash=-0.5",         // negative rate
-		"restartfail=1.5",    // not a probability
-		"downtime=-2",        // negative duration
-		"hangdur=NaN",        // NaN duration
-		"crash=0.1,hang=Inf", // infinite rate
+	for _, c := range []struct{ in, want string }{
+		{"crash", `clusterfaults: "crash" is not key=value`},
+		{"bogus=1", `clusterfaults: unknown key "bogus"`},
+		{"crash=x", ""}, // not a number
+		{"seed=-1", `clusterfaults: seed: strconv.ParseUint: parsing "-1": invalid syntax`},
+		{"crash=-0.5", ""},         // negative rate
+		{"restartfail=1.5", ""},    // not a probability
+		{"downtime=-2", ""},        // negative duration
+		{"hangdur=NaN", ""},        // NaN duration
+		{"crash=0.1,hang=Inf", ""}, // infinite rate
 	} {
-		if _, err := ParseSpec(in); err == nil {
-			t.Errorf("ParseSpec(%q) accepted", in)
+		_, err := ParseSpec(c.in)
+		if err == nil {
+			t.Errorf("ParseSpec(%q) accepted", c.in)
+		} else if c.want != "" && err.Error() != c.want {
+			t.Errorf("ParseSpec(%q) error = %q, want %q", c.in, err, c.want)
 		}
 	}
 }
@@ -70,9 +73,6 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 	var i *Injector
 	if i.Crash(0, 1) || i.Hang(0, 1) || i.Degrade(0, 1) || i.RestartFails(0) {
 		t.Error("nil injector fired a fault")
-	}
-	if i.Total() != 0 || i.Counts() != nil {
-		t.Error("nil injector has counts")
 	}
 	if i.Spec() != (Spec{}) {
 		t.Error("nil injector has a spec")
@@ -173,9 +173,6 @@ func TestRateSemantics(t *testing.T) {
 	}
 	if fired < 100 {
 		t.Errorf("saturated hazard fired %d/100", fired)
-	}
-	if hot.Total() != uint64(fired) || hot.Counts()["crash"] != uint64(fired) {
-		t.Errorf("counts = %v, total = %d, want %d crashes", hot.Counts(), hot.Total(), fired)
 	}
 }
 

@@ -33,10 +33,8 @@ import (
 // cellSnapshot is one cached post-warmup state: the node snapshot plus the
 // policy controller's internal state, if the policy installed one.
 type cellSnapshot struct {
-	node      *node.Snapshot
-	runtime   *core.RuntimeState
-	throttler *policy.ThrottlerState
-	mba       *policy.MBAState
+	node *node.Snapshot
+	ctrl policy.ControllerState
 }
 
 // warmEntry is one singleflight slot: the first run of a configuration
@@ -123,43 +121,16 @@ func (c *cell) snapshot() *cellSnapshot {
 	if !ok {
 		return nil
 	}
-	cs := &cellSnapshot{node: ns}
-	if rt := c.applied.Runtime; rt != nil {
-		st := rt.Snapshot()
-		cs.runtime = &st
-	}
-	if th := c.applied.Throttler; th != nil {
-		st := th.Snapshot()
-		cs.throttler = &st
-	}
-	if mc := c.applied.MBA; mc != nil {
-		st := mc.Snapshot()
-		cs.mba = &st
-	}
-	return cs
+	return &cellSnapshot{node: ns, ctrl: c.applied.Snapshot()}
 }
 
 // restore installs a snapshot onto a freshly built cell of the same
 // configuration.
 func (c *cell) restore(cs *cellSnapshot) error {
-	if (cs.runtime != nil) != (c.applied.Runtime != nil) ||
-		(cs.throttler != nil) != (c.applied.Throttler != nil) ||
-		(cs.mba != nil) != (c.applied.MBA != nil) {
-		return fmt.Errorf("experiments: snapshot controller set does not match cell")
-	}
 	if err := c.n.Restore(cs.node); err != nil {
 		return err
 	}
-	if cs.runtime != nil {
-		c.applied.Runtime.Restore(*cs.runtime)
-	}
-	if cs.throttler != nil {
-		c.applied.Throttler.Restore(*cs.throttler)
-	}
-	if cs.mba != nil {
-		c.applied.MBA.Restore(*cs.mba)
-	}
-	return nil
+	return c.applied.Restore(cs.ctrl)
 }
 
 // warm brings the cell to its post-warmup state: restored from the cache

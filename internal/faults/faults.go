@@ -19,7 +19,7 @@
 //   - Controller stalls skip whole control periods, modeling a runtime
 //     that missed its deadline.
 //
-// All randomness comes from a private xorshift64* generator seeded from
+// All randomness comes from sim.Stream generators seeded from
 // Spec.Seed — no math/rand global state, no wall clock — with one
 // independent stream per fault class, so identical (seed, spec) pairs
 // replay identical fault sequences regardless of which classes are
@@ -33,13 +33,12 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 
 	"kelp/internal/cgroup"
 	"kelp/internal/cpu"
 	"kelp/internal/events"
 	"kelp/internal/perfmon"
+	"kelp/internal/sim"
 )
 
 // Spec configures the injector: per-period (sensor, stall) and per-write
@@ -87,20 +86,22 @@ func (s Spec) Enabled() bool {
 		s.ActFail > 0 || s.ActStick > 0 || s.ActPartial > 0 || s.Stall > 0
 }
 
+// fields binds the spec's float keys to s, in rendering order.
+func (s *Spec) fields() []sim.SpecField {
+	return []sim.SpecField{
+		{Key: "drop", Val: &s.Drop}, {Key: "stale", Val: &s.Stale}, {Key: "nan", Val: &s.NaN},
+		{Key: "spike", Val: &s.Spike}, {Key: "spikemag", Val: &s.SpikeMag}, {Key: "flap", Val: &s.Flap},
+		{Key: "actfail", Val: &s.ActFail}, {Key: "actstick", Val: &s.ActStick}, {Key: "actpartial", Val: &s.ActPartial},
+		{Key: "stall", Val: &s.Stall},
+	}
+}
+
 // Validate reports whether every probability is in [0, 1] and the spike
 // magnitude is sane.
 func (s Spec) Validate() error {
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"drop", s.Drop}, {"stale", s.Stale}, {"nan", s.NaN},
-		{"spike", s.Spike}, {"flap", s.Flap},
-		{"actfail", s.ActFail}, {"actstick", s.ActStick}, {"actpartial", s.ActPartial},
-		{"stall", s.Stall},
-	} {
-		if math.IsNaN(p.v) || p.v < 0 || p.v > 1 {
-			return fmt.Errorf("faults: %s = %v, want a probability in [0, 1]", p.name, p.v)
+	for _, f := range s.fields() {
+		if v := *f.Val; f.Key != "spikemag" && (math.IsNaN(v) || v < 0 || v > 1) {
+			return fmt.Errorf("faults: %s = %v, want a probability in [0, 1]", f.Key, v)
 		}
 	}
 	if s.SpikeMag != 0 && (math.IsNaN(s.SpikeMag) || s.SpikeMag <= 1) {
@@ -112,29 +113,7 @@ func (s Spec) Validate() error {
 // String renders the spec in ParseSpec's key=value format, omitting zero
 // fields, with keys in a fixed order.
 func (s Spec) String() string {
-	var parts []string
-	add := func(k string, v float64) {
-		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%v", k, v))
-		}
-	}
-	if s.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", s.Seed))
-	}
-	add("drop", s.Drop)
-	add("stale", s.Stale)
-	add("nan", s.NaN)
-	add("spike", s.Spike)
-	add("spikemag", s.SpikeMag)
-	add("flap", s.Flap)
-	add("actfail", s.ActFail)
-	add("actstick", s.ActStick)
-	add("actpartial", s.ActPartial)
-	add("stall", s.Stall)
-	if len(parts) == 0 {
-		return "off"
-	}
-	return strings.Join(parts, ",")
+	return sim.FormatSpec(s.Seed, s.fields())
 }
 
 // ParseSpec parses the -faults flag format: a comma-separated list of
@@ -143,105 +122,10 @@ func (s Spec) String() string {
 // stall. An empty string (and "off") yields the disabled zero Spec.
 func ParseSpec(str string) (Spec, error) {
 	var s Spec
-	str = strings.TrimSpace(str)
-	if str == "" || str == "off" {
-		return s, nil
-	}
-	for _, kv := range strings.Split(str, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return Spec{}, fmt.Errorf("faults: %q is not key=value", kv)
-		}
-		k = strings.ToLower(strings.TrimSpace(k))
-		v = strings.TrimSpace(v)
-		if k == "seed" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return Spec{}, fmt.Errorf("faults: seed: %w", err)
-			}
-			s.Seed = n
-			continue
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return Spec{}, fmt.Errorf("faults: %s: %w", k, err)
-		}
-		switch k {
-		case "drop":
-			s.Drop = f
-		case "stale":
-			s.Stale = f
-		case "nan":
-			s.NaN = f
-		case "spike":
-			s.Spike = f
-		case "spikemag":
-			s.SpikeMag = f
-		case "flap":
-			s.Flap = f
-		case "actfail":
-			s.ActFail = f
-		case "actstick":
-			s.ActStick = f
-		case "actpartial":
-			s.ActPartial = f
-		case "stall":
-			s.Stall = f
-		default:
-			return Spec{}, fmt.Errorf("faults: unknown key %q", k)
-		}
+	if err := sim.ParseSpec("faults", str, &s.Seed, s.fields()); err != nil {
+		return Spec{}, err
 	}
 	return s, s.Validate()
-}
-
-// xorshift is an xorshift64* generator — small, fast, and private to the
-// injector so fault draws never perturb (or are perturbed by) the
-// simulation's own RNG streams.
-type xorshift struct{ state uint64 }
-
-// splitmix64 expands a seed into a well-mixed nonzero state.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// newStream derives an independent generator from the root seed and a
-// stable class name, so enabling one fault class never shifts another's
-// draw sequence.
-func newStream(seed uint64, name string) *xorshift {
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	s := splitmix64(seed ^ h)
-	if s == 0 {
-		s = 0x2545F4914F6CDD1D
-	}
-	return &xorshift{state: s}
-}
-
-func (x *xorshift) next() uint64 {
-	s := x.state
-	s ^= s >> 12
-	s ^= s << 25
-	s ^= s >> 27
-	x.state = s
-	return s * 0x2545F4914F6CDD1D
-}
-
-// float64 draws a uniform value in [0, 1).
-func (x *xorshift) float64() float64 {
-	return float64(x.next()>>11) / (1 << 53)
-}
-
-// hit draws once and reports whether an event with probability p fired.
-// The draw is consumed even when p is 0 so per-stream sequences stay
-// aligned across specs that differ only in probabilities.
-func (x *xorshift) hit(p float64) bool {
-	return x.float64() < p
 }
 
 // Injector perturbs the sensor and actuator path of one node's
@@ -252,7 +136,10 @@ type Injector struct {
 	spec Spec
 	rec  *events.Recorder
 
-	stall, drop, stale, nan, spike, flap, act *xorshift
+	// One stream per fault class; a draw is consumed even when the
+	// class's probability is 0, so per-stream sequences stay aligned
+	// across specs that differ only in probabilities.
+	stall, drop, stale, nan, spike, flap, act sim.Stream
 
 	// last caches the previous clean sample per controller for stale
 	// replay; flapHigh alternates the flap direction; nanMetric cycles
@@ -276,13 +163,13 @@ func NewInjector(s Spec) (*Injector, error) {
 	}
 	return &Injector{
 		spec:      s,
-		stall:     newStream(s.Seed, "stall"),
-		drop:      newStream(s.Seed, "drop"),
-		stale:     newStream(s.Seed, "stale"),
-		nan:       newStream(s.Seed, "nan"),
-		spike:     newStream(s.Seed, "spike"),
-		flap:      newStream(s.Seed, "flap"),
-		act:       newStream(s.Seed, "act"),
+		stall:     sim.NewStream(s.Seed, "stall"),
+		drop:      sim.NewStream(s.Seed, "drop"),
+		stale:     sim.NewStream(s.Seed, "stale"),
+		nan:       sim.NewStream(s.Seed, "nan"),
+		spike:     sim.NewStream(s.Seed, "spike"),
+		flap:      sim.NewStream(s.Seed, "flap"),
+		act:       sim.NewStream(s.Seed, "act"),
 		last:      make(map[string]perfmon.Sample),
 		flapHigh:  make(map[string]bool),
 		nanMetric: make(map[string]int),
@@ -352,7 +239,7 @@ func (i *Injector) Stall(now float64, ctrl string) bool {
 	if i == nil {
 		return false
 	}
-	if !i.stall.hit(i.spec.Stall) {
+	if i.stall.Float64() >= i.spec.Stall {
 		return false
 	}
 	i.count("stall")
@@ -376,7 +263,7 @@ func (i *Injector) PerturbSample(now float64, ctrl string, s perfmon.Sample) (pe
 	if i == nil {
 		return s, false
 	}
-	if i.drop.hit(i.spec.Drop) {
+	if i.drop.Float64() < i.spec.Drop {
 		i.count("drop")
 		if i.rec.Enabled() {
 			i.rec.Emit(now, events.FaultSensor, "faults", map[string]any{
@@ -385,7 +272,7 @@ func (i *Injector) PerturbSample(now float64, ctrl string, s perfmon.Sample) (pe
 		}
 		return perfmon.Sample{}, true
 	}
-	if i.stale.hit(i.spec.Stale) {
+	if i.stale.Float64() < i.spec.Stale {
 		if prev, ok := i.last[ctrl]; ok {
 			i.count("stale")
 			if i.rec.Enabled() {
@@ -400,7 +287,7 @@ func (i *Injector) PerturbSample(now float64, ctrl string, s perfmon.Sample) (pe
 	// plausible (held) values rather than replayed garbage.
 	i.last[ctrl] = cloneSample(s)
 
-	if i.nan.hit(i.spec.NaN) {
+	if i.nan.Float64() < i.spec.NaN {
 		m := sensorMetrics[i.nanMetric[ctrl]%len(sensorMetrics)]
 		i.nanMetric[ctrl]++
 		poisonMetric(&s, m, math.NaN(), false)
@@ -411,7 +298,7 @@ func (i *Injector) PerturbSample(now float64, ctrl string, s perfmon.Sample) (pe
 			})
 		}
 	}
-	if i.spike.hit(i.spec.Spike) {
+	if i.spike.Float64() < i.spec.Spike {
 		m := sensorMetrics[i.nanMetric[ctrl]%len(sensorMetrics)]
 		i.nanMetric[ctrl]++
 		poisonMetric(&s, m, i.spec.SpikeMag, true)
@@ -422,7 +309,7 @@ func (i *Injector) PerturbSample(now float64, ctrl string, s perfmon.Sample) (pe
 			})
 		}
 	}
-	if i.flap.hit(i.spec.Flap) {
+	if i.flap.Float64() < i.spec.Flap {
 		hi := !i.flapHigh[ctrl]
 		i.flapHigh[ctrl] = hi
 		v := 0.0
@@ -506,7 +393,7 @@ const ActRetries = 3
 // event when a fault fires. Classes are drawn in fail → stick → partial
 // order from a single stream.
 func (i *Injector) gate(now float64, op string) actMode {
-	r := i.act.float64()
+	r := i.act.Float64()
 	switch {
 	case r < i.spec.ActFail:
 		i.count("act.fail")

@@ -46,19 +46,22 @@ func TestParseSpecRoundTrip(t *testing.T) {
 }
 
 func TestParseSpecErrors(t *testing.T) {
-	for _, in := range []string{
-		"drop",             // not key=value
-		"bogus=1",          // unknown key
-		"drop=zero",        // not a float
-		"seed=-1",          // seed is unsigned
-		"drop=1.5",         // probability out of range
-		"drop=-0.1",        // negative probability
-		"spikemag=0.5",     // magnitude must exceed 1
-		"stall=NaN",        // NaN probability
-		"drop=0.2,stale=2", // second key bad
+	for _, c := range []struct{ in, want string }{
+		{"drop", `faults: "drop" is not key=value`},
+		{"bogus=1", `faults: unknown key "bogus"`},
+		{"drop=zero", ""}, // not a float
+		{"seed=-1", `faults: seed: strconv.ParseUint: parsing "-1": invalid syntax`},
+		{"drop=1.5", ""},         // probability out of range
+		{"drop=-0.1", ""},        // negative probability
+		{"spikemag=0.5", ""},     // magnitude must exceed 1
+		{"stall=NaN", ""},        // NaN probability
+		{"drop=0.2,stale=2", ""}, // second key bad
 	} {
-		if _, err := ParseSpec(in); err == nil {
-			t.Errorf("ParseSpec(%q) accepted", in)
+		_, err := ParseSpec(c.in)
+		if err == nil {
+			t.Errorf("ParseSpec(%q) accepted", c.in)
+		} else if c.want != "" && err.Error() != c.want {
+			t.Errorf("ParseSpec(%q) error = %q, want %q", c.in, err, c.want)
 		}
 	}
 }

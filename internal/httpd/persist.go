@@ -9,6 +9,7 @@ import (
 
 	"kelp/internal/durable"
 	"kelp/internal/events"
+	"kelp/internal/policy"
 )
 
 // This file is the glue between the session server and internal/durable:
@@ -172,27 +173,16 @@ func (sess *Session) captureLocked() (*durable.SessionSnapshot, bool) {
 	if !ok {
 		return nil, false
 	}
-	snap := &durable.SessionSnapshot{
-		Seq:      sess.wal.Seq(),
-		SimNow:   n.Now(),
-		Recorder: sess.agent.Events().State(),
-		Node:     ns,
-	}
-	if ap := sess.agent.Applied(); ap != nil {
-		if ap.Runtime != nil {
-			st := ap.Runtime.Snapshot()
-			snap.Runtime = &st
-		}
-		if ap.Throttler != nil {
-			st := ap.Throttler.Snapshot()
-			snap.Throttler = &st
-		}
-		if ap.MBA != nil {
-			st := ap.MBA.Snapshot()
-			snap.MBA = &st
-		}
-	}
-	return snap, true
+	ctrl := sess.agent.Applied().Snapshot()
+	return &durable.SessionSnapshot{
+		Seq:       sess.wal.Seq(),
+		SimNow:    n.Now(),
+		Recorder:  sess.agent.Events().State(),
+		Node:      ns,
+		Runtime:   ctrl.Runtime,
+		Throttler: ctrl.Throttler,
+		MBA:       ctrl.MBA,
+	}, true
 }
 
 // snapshotNow writes a snapshot if one is due: SnapshotEvery records have
@@ -454,21 +444,10 @@ func (s *Server) restoreFromSnapshot(req createSessionRequest, name string, recs
 		if err := n.Restore(snap.Node); err != nil {
 			return err
 		}
-		ap := sess.agent.Applied()
-		hasRT := ap != nil && ap.Runtime != nil
-		hasTH := ap != nil && ap.Throttler != nil
-		hasMBA := ap != nil && ap.MBA != nil
-		if (snap.Runtime != nil) != hasRT || (snap.Throttler != nil) != hasTH || (snap.MBA != nil) != hasMBA {
-			return fmt.Errorf("httpd: snapshot controller set does not match the rebuilt session")
-		}
-		if snap.Runtime != nil {
-			ap.Runtime.Restore(*snap.Runtime)
-		}
-		if snap.Throttler != nil {
-			ap.Throttler.Restore(*snap.Throttler)
-		}
-		if snap.MBA != nil {
-			ap.MBA.Restore(*snap.MBA)
+		if err := sess.agent.Applied().Restore(policy.ControllerState{
+			Runtime: snap.Runtime, Throttler: snap.Throttler, MBA: snap.MBA,
+		}); err != nil {
+			return err
 		}
 		// The recorder state overwrites the admission events the structural
 		// replay just emitted at t=0 with the true history up to the

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"fmt"
+
 	"kelp/internal/core"
 	"kelp/internal/events"
 	"kelp/internal/node"
@@ -118,6 +120,61 @@ func (c *MBAController) Restore(st MBAState) {
 	c.cur = st.cur
 	c.deg = st.deg
 	c.history = append(c.history[:0], st.history...)
+}
+
+// ControllerState is a snapshot of every controller an Applied policy
+// installed; a nil field means the policy installed no such controller.
+type ControllerState struct {
+	Runtime   *core.RuntimeState
+	Throttler *ThrottlerState
+	MBA       *MBAState
+}
+
+// Snapshot captures the policy's controller state. A nil Applied has no
+// controllers.
+func (a *Applied) Snapshot() ControllerState {
+	var st ControllerState
+	if a == nil {
+		return st
+	}
+	if a.Runtime != nil {
+		rt := a.Runtime.Snapshot()
+		st.Runtime = &rt
+	}
+	if a.Throttler != nil {
+		th := a.Throttler.Snapshot()
+		st.Throttler = &th
+	}
+	if a.MBA != nil {
+		mc := a.MBA.Snapshot()
+		st.MBA = &mc
+	}
+	return st
+}
+
+// Restore installs a snapshot taken by Snapshot on a policy applied with
+// the same configuration. It restores nothing and fails when the snapshot
+// holds a different set of controllers than the policy installed.
+func (a *Applied) Restore(st ControllerState) error {
+	var none Applied
+	if a == nil {
+		a = &none
+	}
+	if (st.Runtime != nil) != (a.Runtime != nil) ||
+		(st.Throttler != nil) != (a.Throttler != nil) ||
+		(st.MBA != nil) != (a.MBA != nil) {
+		return fmt.Errorf("policy: snapshot controller set does not match the applied policy")
+	}
+	if st.Runtime != nil {
+		a.Runtime.Restore(*st.Runtime)
+	}
+	if st.Throttler != nil {
+		a.Throttler.Restore(*st.Throttler)
+	}
+	if st.MBA != nil {
+		a.MBA.Restore(*st.MBA)
+	}
+	return nil
 }
 
 // sanityBounds derives sample plausibility limits from the throttler-style

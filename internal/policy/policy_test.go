@@ -401,3 +401,46 @@ func TestApplyRejectsDuplicateApplication(t *testing.T) {
 		t.Error("second Apply on the same node accepted")
 	}
 }
+
+func TestAppliedSnapshotRestore(t *testing.T) {
+	var none *Applied
+	if st := none.Snapshot(); st != (ControllerState{}) {
+		t.Errorf("nil Applied snapshot = %+v, want empty", st)
+	}
+	if err := none.Restore(ControllerState{}); err != nil {
+		t.Errorf("nil Applied rejected an empty snapshot: %v", err)
+	}
+
+	n := newNode(t)
+	a, err := Apply(n, CoreThrottle, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, _ := workload.NewDRAMAggressor(workload.LevelHigh)
+	if err := n.AddTask(agg, a.Low); err != nil {
+		t.Fatal(err)
+	}
+	n.Run(3 * sim.Second)
+	st := a.Snapshot()
+	if st.Throttler == nil || st.Runtime != nil || st.MBA != nil {
+		t.Fatalf("CT snapshot = %+v, want the throttler only", st)
+	}
+	if err := none.Restore(st); err == nil {
+		t.Error("nil Applied accepted a throttler snapshot")
+	}
+	if err := a.Restore(ControllerState{}); err == nil {
+		t.Error("CT policy accepted a snapshot without its throttler")
+	}
+
+	b, err := Apply(newNode(t), CoreThrottle, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if b.Throttler.Cores() != a.Throttler.Cores() || len(b.Throttler.History()) != len(a.Throttler.History()) {
+		t.Errorf("restored throttler at %d cores / %d decisions, want %d / %d",
+			b.Throttler.Cores(), len(b.Throttler.History()), a.Throttler.Cores(), len(a.Throttler.History()))
+	}
+}

@@ -56,7 +56,7 @@ func (e *Engine) Step() Duration { return e.dt }
 // Steps returns the number of ticks executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// RNG returns the engine's root random source. Derive per-component streams
+// RNG returns the engine's seeded random source. Derive per-component streams
 // with RNG.Stream to keep runs reproducible under reordering.
 func (e *Engine) RNG() *RNG { return e.rng }
 
